@@ -6,13 +6,16 @@ Part of the PDGC project.
 Reads a *before* and an *after* report (as written by
 bench/run_benchmarks.sh), picks one representative time per benchmark
 (the `median` aggregate when repetitions were run, the plain entry
-otherwise), and applies two kinds of gates:
+otherwise), and applies three kinds of gates:
 
   --guard NAME            benchmark NAME must not regress by more than
                           --max-regress-pct (repeatable)
   --require-speedup NAME:RATIO
                           after must be at least RATIO times faster than
                           before on NAME (repeatable)
+  --max-geomean-ratio R   the geometric mean of after/before over every
+                          benchmark present in both reports must not
+                          exceed R; no common benchmark fails the gate
 
 With --forbid-debug, a report whose `pdgc_build_type` stamp is missing
 or not Release/RelWithDebInfo fails the comparison outright — numbers
@@ -25,10 +28,17 @@ Example (the CI bench-smoke gate):
   bench/compare_benchmarks.py BENCH_pr8_before.json BENCH_pr8.json \
       --guard BM_BuildRpg --guard BM_RebuildInterference \
       --max-regress-pct 2 --require-speedup BM_BuildCpg:2.0
+
+Example (the CI overhead gates: instrumented build within 2% of one with
+the instrumentation compiled out):
+
+  bench/compare_benchmarks.py bench-stats-off.json bench-stats-on.json \
+      --max-geomean-ratio 1.02
 """
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -73,6 +83,9 @@ def main():
     parser.add_argument("--require-speedup", action="append", default=[],
                         metavar="NAME:RATIO",
                         help="after must beat before by RATIO on NAME")
+    parser.add_argument("--max-geomean-ratio", type=float, metavar="R",
+                        help="fail when geomean(after/before) over the "
+                        "common benchmarks exceeds R")
     parser.add_argument("--forbid-debug", action="store_true",
                         help="fail unless both reports are Release-stamped")
     args = parser.parse_args()
@@ -123,6 +136,26 @@ def main():
             status = "FAIL"
         print(f"speedup  {name}: {b:.0f}ns -> {a:.0f}ns "
               f"({speedup:.2f}x, need {ratio:.2f}x) {status}")
+
+    if args.max_geomean_ratio is not None:
+        common = sorted(set(before) & set(after))
+        if not common:
+            failures.append("geomean gate: no benchmark is common to "
+                            f"{args.before} and {args.after}")
+        else:
+            for name in common:
+                print(f"ratio    {name}: {after[name] / before[name]:.4f}")
+            geomean = math.exp(
+                math.fsum(math.log(after[n] / before[n]) for n in common) /
+                len(common))
+            status = "ok"
+            if geomean > args.max_geomean_ratio:
+                failures.append(
+                    f"geomean after/before {geomean:.4f} exceeds "
+                    f"{args.max_geomean_ratio:.4f}")
+                status = "FAIL"
+            print(f"geomean  {len(common)} benchmarks: {geomean:.4f} "
+                  f"(limit {args.max_geomean_ratio:.4f}) {status}")
 
     for failure in failures:
         print(f"compare_benchmarks: {failure}", file=sys.stderr)

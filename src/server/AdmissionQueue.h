@@ -108,7 +108,6 @@ public:
   }
 
   std::size_t capacity() const { return Capacity; }
-  std::size_t lowWatermark() const { return Low; }
 
 private:
   const std::size_t Capacity;

@@ -113,7 +113,11 @@ TransportError ClientConnection::callWithRetry(
             .count());
     return Spent >= MaxElapsedMs ? 0 : MaxElapsedMs - Spent;
   };
-  auto BackoffClipped = [&](std::uint64_t SleepMs) {
+  // Sleeps before the attempt after \p Attempt; after the last attempt
+  // nothing follows, so there is nothing to wait for.
+  auto BackoffClipped = [&](unsigned Attempt, std::uint64_t SleepMs) {
+    if (Attempt + 1 >= MaxAttempts)
+      return;
     std::this_thread::sleep_for(
         std::chrono::milliseconds(std::min(SleepMs, RemainingMs())));
   };
@@ -130,7 +134,7 @@ TransportError ClientConnection::callWithRetry(
         return Last;
       // The server may be mid-overload or mid-accept-fault; back off
       // like a shed request would.
-      BackoffClipped(5u << std::min(Attempt, 6u));
+      BackoffClipped(Attempt, 5u << std::min(Attempt, 6u));
       continue;
     }
     Last = call(Req, Out);
@@ -146,12 +150,12 @@ TransportError ClientConnection::callWithRetry(
       unsigned Jitter = static_cast<unsigned>(H % (Base + 1));
       unsigned SleepMs = std::min(
           Base * (1u << std::min(Attempt, 6u)) + Jitter, 2000u);
-      BackoffClipped(SleepMs);
+      BackoffClipped(Attempt, SleepMs);
       continue;
     }
     if (!RetryTransport)
       return Last;
-    BackoffClipped(5u << std::min(Attempt, 6u));
+    BackoffClipped(Attempt, 5u << std::min(Attempt, 6u));
   }
-  return Last == TransportError::None ? TransportError::None : Last;
+  return Last;
 }

@@ -71,7 +71,8 @@ public:
   /// and backoff sleeps (each sleep is clipped to what remains): a
   /// crash-looping or quarantine-rejecting server then costs a bounded
   /// wait, not MaxAttempts full backoffs. 0 = attempts alone bound the
-  /// loop, exactly the old behavior.
+  /// loop. No backoff follows the last attempt: its answer returns
+  /// at once.
   TransportError callWithRetry(const Request &Req, Response &Out,
                                std::uint16_t Port, unsigned MaxAttempts,
                                bool RetryTransport, std::uint64_t Seed,

@@ -27,7 +27,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace pdgc {
 namespace server {
@@ -48,12 +47,6 @@ public:
     return Count.load(std::memory_order_relaxed);
   }
 
-  /// Mean in microseconds (0 with no samples).
-  std::uint64_t meanMicros() const {
-    std::uint64_t N = count();
-    return N ? SumMicros.load(std::memory_order_relaxed) / N : 0;
-  }
-
   /// Sum of all recorded samples in microseconds (for exposition _sum).
   std::uint64_t sumMicros() const {
     return SumMicros.load(std::memory_order_relaxed);
@@ -72,9 +65,6 @@ public:
   /// callers that want the conservative bucket ceiling rather than the
   /// interpolated estimate of quantile().
   std::uint64_t percentileMicros(double P) const;
-
-  /// {"count":N,"mean-us":M,"p50-us":...,"p90-us":...,"p99-us":...}
-  std::string toJson() const;
 
 private:
   static unsigned bucketFor(std::uint64_t Micros);

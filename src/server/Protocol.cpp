@@ -15,10 +15,6 @@ const char *server::requestTypeName(RequestType T) {
   switch (T) {
   case RequestType::Alloc:
     return "ALLOC";
-  case RequestType::Status:
-    return "STATUS";
-  case RequestType::Stats:
-    return "STATS";
   case RequestType::Ping:
     return "PING";
   }
@@ -158,10 +154,6 @@ bool server::parseRequest(const std::string &Payload, Request &Out,
     return false;
   if (Verb == "ALLOC")
     Out.Type = RequestType::Alloc;
-  else if (Verb == "STATUS")
-    Out.Type = RequestType::Status;
-  else if (Verb == "STATS")
-    Out.Type = RequestType::Stats;
   else if (Verb == "PING")
     Out.Type = RequestType::Ping;
   else {

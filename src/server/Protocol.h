@@ -19,10 +19,11 @@
 /// \endcode
 ///
 /// The first line is the magic plus a verb (ALLOC runs an allocation;
-/// STATUS and STATS are the health/introspection endpoints; PING is a
-/// liveness no-op). Header lines are `key: value` pairs; an empty line
-/// ends the headers and everything after it is the body. Responses have
-/// the same shape with a status word instead of a verb:
+/// PING is a liveness no-op; health and introspection live on the HTTP
+/// plane of the same port, see server/Http.h). Header lines are
+/// `key: value` pairs; an empty line ends the headers and everything
+/// after it is the body. Responses have the same shape with a status
+/// word instead of a verb:
 ///
 ///   OK        allocation served by the requested tier
 ///   DEGRADED  served, but by a fallback tier (details in headers/body)
@@ -58,10 +59,8 @@ inline constexpr const char *ProtocolMagic = "PDGC/1";
 
 /// What the client asked the server to do.
 enum class RequestType {
-  Alloc,  ///< Run an allocation over the body's textual IR.
-  Status, ///< Health probe: queue depth, shed state, uptime, draining.
-  Stats,  ///< Introspection: counter registry + latency percentiles.
-  Ping,   ///< Liveness no-op; answered OK with an empty body.
+  Alloc, ///< Run an allocation over the body's textual IR.
+  Ping,  ///< Liveness no-op; answered OK with an empty body.
 };
 
 const char *requestTypeName(RequestType T);
@@ -116,7 +115,7 @@ struct Response {
   unsigned WallMs = 0;
   /// Diagnostic for REJECTED/TIMEOUT/MALFORMED/INTERNAL.
   std::string Error;
-  /// Assignment text, degradation records, or health/stats payload.
+  /// Assignment text or degradation records.
   std::string Body;
 };
 

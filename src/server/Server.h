@@ -16,10 +16,10 @@
 ///
 ///   accept -> read frame -> parse message ----------------+
 ///     |            |             |                        |
-///     |        MALFORMED     MALFORMED            STATUS/STATS/PING
+///     |        MALFORMED     MALFORMED                  PING
 ///     |        (+close on    (answer, keep        answered inline
-///     |         framing)      connection)                 |
-///     v                                                   v
+///     |         framing)      connection)
+///     v
 ///   tryPush -> Shed: REJECTED + retry-after    Closed: REJECTED draining
 ///     |
 ///   worker: parse IR -> verify -> allocateWithFallback under the
@@ -43,8 +43,8 @@
 ///    to a self-pipe) stops the acceptor, closes the queue, arms a drain
 ///    deadline that tightens every in-flight request, and run() returns
 ///    once the backlog is served;
-///  * **introspection** — STATUS/STATS answer from the Stats registry,
-///    the queue gauges, and a lock-free latency histogram (p50/p99).
+///  * **introspection** — the HTTP plane below serves the Stats
+///    registry, the queue gauges, and a lock-free latency histogram.
 ///
 /// **HTTP observability plane.** The same port also answers HTTP/1.1:
 /// a connection's first byte picks its plane (uppercase ASCII = an HTTP
@@ -114,7 +114,7 @@ struct ServerOptions {
   /// Wall budget for finishing in-flight work after requestStop().
   unsigned DrainBudgetMs = 5000;
   /// Frame payload cap (see server/FrameCodec.h). Also bounds the bodies
-  /// the server itself emits (STATS, /metrics, /requests).
+  /// the server itself emits (/stats, /metrics, /requests).
   std::uint32_t MaxFrameBytes = 4u << 20;
   /// Concurrent HTTP-plane connections (a scraper plus a few curls);
   /// one past the cap is answered 503 and closed. Counted separately
@@ -150,7 +150,7 @@ struct ServerOptions {
 };
 
 /// Counters the daemon prints at exit (live values are also served by
-/// STATUS/STATS; these are the lifetime totals).
+/// /metrics and /stats; these are the lifetime totals).
 struct ServerSummary {
   std::uint64_t Accepted = 0;       ///< Connections accepted.
   std::uint64_t Requests = 0;       ///< Frames that parsed into requests.

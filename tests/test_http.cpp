@@ -387,8 +387,9 @@ TEST(LatencyQuantile, SumAndMeanExposed) {
   H.record(10);
   H.record(30);
   EXPECT_EQ(H.sumMicros(), 40u);
-  EXPECT_EQ(H.meanMicros(), 20u);
   EXPECT_EQ(H.count(), 2u);
+  // The mean a scraper derives from /metrics' _sum and _count.
+  EXPECT_EQ(H.sumMicros() / H.count(), 20u);
 }
 
 } // namespace

@@ -195,6 +195,13 @@ TEST(Protocol, RequestRejectsBadMagicVerbAndNumbers) {
   EXPECT_FALSE(parseRequest("", Out, Error));
   EXPECT_FALSE(parseRequest("HTTP/1.1 GET\n\n", Out, Error));
   EXPECT_FALSE(parseRequest("PDGC/1 FROBNICATE\n\n", Out, Error));
+  // Introspection lives on the HTTP plane; the binary plane carries only
+  // ALLOC and PING.
+  for (const char *Verb : {"STATUS", "STATS"}) {
+    EXPECT_FALSE(parseRequest(std::string("PDGC/1 ") + Verb + "\n\n", Out,
+                              Error));
+    EXPECT_EQ(Error, std::string("unknown request verb '") + Verb + "'");
+  }
   EXPECT_FALSE(parseRequest("PDGC/1 ALLOC\nbudget-ms: soon\n\n", Out, Error));
   EXPECT_FALSE(parseRequest("PDGC/1 ALLOC\nbudget-ms: -5\n\n", Out, Error));
   // Past the header cap (3600000): strict parses reject, never wrap.

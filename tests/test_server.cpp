@@ -4,9 +4,10 @@
 //
 // In-process end-to-end coverage of pdgc-serve's core: real loopback
 // sockets, real worker threads. Covers the request life cycle (PING /
-// STATUS / STATS / ALLOC), request isolation (malformed input answers
-// typed and leaves the connection usable), admission-control hysteresis
-// and deterministic shedding under a stalled worker, graceful drain, the
+// ALLOC; the retired STATUS / STATS verbs answer MALFORMED), request
+// isolation (malformed input answers typed and leaves the connection
+// usable), admission-control hysteresis and deterministic shedding under
+// a stalled worker, graceful drain, the
 // HTTP observability plane sharing the port (sniffing, endpoints,
 // pipelining, /readyz during drain, request-id correlation against the
 // trace buffer), and — the acceptance criterion — chaos sweeps over
@@ -20,6 +21,7 @@
 #include "machine/TargetDesc.h"
 #include "server/AdmissionQueue.h"
 #include "server/Client.h"
+#include "server/FrameCodec.h"
 #include "server/Server.h"
 #include "support/FaultInjection.h"
 #include "support/Tracing.h"
@@ -79,6 +81,123 @@ Request allocRequest(const std::string &Body, unsigned BudgetMs = 0) {
   return R;
 }
 
+/// Raw TCP client for speaking to the server without any client library
+/// in the way — the tests exercise exact wire bytes (pipelining,
+/// oversized heads, deliberately ambiguous first bytes, retired verbs).
+struct RawConn {
+  int Fd = -1;
+
+  ~RawConn() { close(); }
+
+  bool connect(std::uint16_t Port) {
+    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (Fd < 0)
+      return false;
+    sockaddr_in Addr{};
+    Addr.sin_family = AF_INET;
+    Addr.sin_port = htons(Port);
+    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
+        0) {
+      close();
+      return false;
+    }
+    return true;
+  }
+
+  bool send(const std::string &Bytes) {
+    std::size_t Off = 0;
+    while (Off < Bytes.size()) {
+      ssize_t N = ::send(Fd, Bytes.data() + Off, Bytes.size() - Off, 0);
+      if (N < 0) {
+        if (errno == EINTR)
+          continue;
+        return false;
+      }
+      Off += static_cast<std::size_t>(N);
+    }
+    return true;
+  }
+
+  /// Reads until the peer closes. For Connection: close exchanges.
+  std::string recvUntilClosed() {
+    std::string Out;
+    char Chunk[4096];
+    for (;;) {
+      ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        break;
+      Out.append(Chunk, static_cast<std::size_t>(N));
+    }
+    return Out;
+  }
+
+  /// Reads exactly one HTTP response (head + Content-Length body) off a
+  /// keep-alive connection. Empty string on EOF/parse trouble.
+  std::string recvOneResponse() {
+    std::string Buf;
+    char Chunk[4096];
+    std::size_t HeadEnd = std::string::npos;
+    while ((HeadEnd = Buf.find("\r\n\r\n")) == std::string::npos) {
+      ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        return std::string();
+      Buf.append(Chunk, static_cast<std::size_t>(N));
+    }
+    const char *Key = "content-length:";
+    std::size_t BodyLen = 0;
+    std::string Lower;
+    Lower.reserve(HeadEnd);
+    for (std::size_t I = 0; I < HeadEnd; ++I)
+      Lower.push_back(static_cast<char>(
+          std::tolower(static_cast<unsigned char>(Buf[I]))));
+    std::size_t Pos = Lower.find(Key);
+    if (Pos != std::string::npos)
+      BodyLen = std::strtoul(Buf.c_str() + Pos + std::strlen(Key), nullptr, 10);
+    const std::size_t Want = HeadEnd + 4 + BodyLen;
+    while (Buf.size() < Want) {
+      ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        return std::string();
+      Buf.append(Chunk, static_cast<std::size_t>(N));
+    }
+    return Buf.substr(0, Want);
+  }
+
+  void close() {
+    if (Fd >= 0)
+      ::close(Fd);
+    Fd = -1;
+  }
+};
+
+std::string httpGet(const std::string &Path, bool KeepAlive = true) {
+  std::string Req = "GET " + Path + " HTTP/1.1\r\nHost: t\r\n";
+  if (!KeepAlive)
+    Req += "Connection: close\r\n";
+  return Req + "\r\n";
+}
+
+/// Value of the unlabelled sample \p Name in one /metrics scrape of the
+/// server on \p Port; -1 when the scrape fails or lacks the sample.
+long scrapeGauge(std::uint16_t Port, const std::string &Name) {
+  RawConn Http;
+  if (!Http.connect(Port) || !Http.send(httpGet("/metrics", false)))
+    return -1;
+  const std::string R = Http.recvUntilClosed();
+  const std::string Key = "\n" + Name + " ";
+  std::size_t Pos = R.find(Key);
+  if (Pos == std::string::npos)
+    return -1;
+  return std::strtol(R.c_str() + Pos + Key.size(), nullptr, 10);
+}
+
 //===----------------------------------------------------------------------===//
 // Admission queue (watermark hysteresis)
 //===----------------------------------------------------------------------===//
@@ -136,39 +255,46 @@ TEST(AdmissionQueue, CloseWakesABlockedConsumer) {
 // Request life cycle
 //===----------------------------------------------------------------------===//
 
-TEST(ServerEndToEnd, PingStatusStatsAnswerInline) {
+TEST(ServerEndToEnd, PingAnswersInlineAndRetiredVerbsAreMalformed) {
   ServerOptions Opts;
   Server S(Opts);
   std::string Error;
   ASSERT_TRUE(S.start(&Error)) << Error;
 
-  ClientConnection Conn;
+  RawConn Conn;
   ASSERT_TRUE(Conn.connect(S.port()));
-
-  Request Req;
+  auto Call = [&Conn](const std::string &Payload, Response &Out) {
+    std::string Reply, ParseError;
+    ASSERT_TRUE(writeFrame(Conn.Fd, Payload));
+    ASSERT_EQ(readFrame(Conn.Fd, Reply), FrameResult::Ok);
+    ASSERT_TRUE(parseResponse(Reply, Out, ParseError)) << ParseError;
+  };
+  Request Ping;
+  Ping.Type = RequestType::Ping;
   Response Resp;
-  Req.Type = RequestType::Ping;
-  ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
+  Call(serializeRequest(Ping), Resp);
   EXPECT_EQ(Resp.Status, ResponseStatus::Ok);
 
-  Req.Type = RequestType::Status;
-  ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Status, ResponseStatus::Ok);
-  EXPECT_NE(Resp.Body.find("\"queue-depth\""), std::string::npos)
-      << Resp.Body;
-  EXPECT_NE(Resp.Body.find("\"draining\": false"), std::string::npos);
+  // The binary plane carries only ALLOC and PING: STATUS and STATS
+  // answer like any unknown verb, and the connection lives.
+  for (const char *Verb : {"STATUS", "STATS"}) {
+    Call(std::string("PDGC/1 ") + Verb + "\n\n", Resp);
+    EXPECT_EQ(Resp.Status, ResponseStatus::Malformed) << Verb;
+    EXPECT_NE(Resp.Error.find("unknown request verb"), std::string::npos)
+        << Resp.Error;
+    Call(serializeRequest(Ping), Resp);
+    EXPECT_EQ(Resp.Status, ResponseStatus::Ok) << "after " << Verb;
+  }
 
-  Req.Type = RequestType::Stats;
-  ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Status, ResponseStatus::Ok);
-  EXPECT_NE(Resp.Body.find("\"latency\""), std::string::npos) << Resp.Body;
-  EXPECT_NE(Resp.Body.find("\"counters\""), std::string::npos);
+  // The connection-thread gauge counts this live connection's thread and
+  // the scraping one's.
+  EXPECT_GE(scrapeGauge(S.port(), "pdgc_server_conn_threads"), 2);
 
   Conn.close();
   S.requestStop();
   ServerSummary Sum = S.run();
-  EXPECT_EQ(Sum.Accepted, 1u);
   EXPECT_EQ(Sum.Requests, 3u);
+  EXPECT_EQ(Sum.Malformed, 2u);
   EXPECT_TRUE(Sum.DrainedInBudget);
 }
 
@@ -192,24 +318,14 @@ TEST(ServerEndToEnd, FinishedConnectionThreadsAreReaped) {
     Churn.close();
   }
 
-  // Every accept reaps; by the time STATUS answers, the churned threads
-  // must be gone from the registry (modulo a few still mid-retirement
-  // under slow scheduling — hence the poll loop, and a bound far below
-  // the 100 a leak would show).
-  const char *Key = "\"conn-threads\": ";
+  // Every accept reaps; by the time /metrics answers, the churned
+  // threads must be gone from the registry (modulo a few still
+  // mid-retirement under slow scheduling — hence the poll loop, and a
+  // bound far below the 100 a leak would show).
   long Registered = -1;
   for (int Attempt = 0; Attempt != 50; ++Attempt) {
-    ClientConnection Conn;
-    ASSERT_TRUE(Conn.connect(S.port()));
-    Request Req;
-    Req.Type = RequestType::Status;
-    Response Resp;
-    ASSERT_EQ(Conn.call(Req, Resp), TransportError::None);
-    std::size_t Pos = Resp.Body.find(Key);
-    ASSERT_NE(Pos, std::string::npos) << Resp.Body;
-    Registered = std::strtol(
-        Resp.Body.c_str() + Pos + std::strlen(Key), nullptr, 10);
-    Conn.close();
+    Registered = scrapeGauge(S.port(), "pdgc_server_conn_threads");
+    ASSERT_GE(Registered, 0) << "no pdgc_server_conn_threads on /metrics";
     if (Registered <= 8)
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -310,7 +426,9 @@ TEST(ServerEndToEnd, OverloadShedsWithRetryAfterHint) {
   Opts.QueueCapacity = 1;
   Opts.QueueLowWatermark = 0;
   Opts.DefaultBudgetMs = 200;
-  Opts.RetryAfterMs = 35;
+  // A hint far above the shed bound below: a client that slept it out
+  // after its last attempt could not answer in time.
+  Opts.RetryAfterMs = 1000;
   Server S(Opts);
   std::string Error;
   ASSERT_TRUE(S.start(&Error)) << Error;
@@ -331,15 +449,19 @@ TEST(ServerEndToEnd, OverloadShedsWithRetryAfterHint) {
   // The worker is now stalled inside request A; the queue is empty.
   std::thread TB([&] { B.call(allocRequest(Body), RespB); });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // Request B holds the only queue slot; C must be rejected *now*.
+  // Request B holds the only queue slot; C must be rejected *now*, and
+  // with one attempt allowed the retry loop must not back off after it.
   auto Start = std::chrono::steady_clock::now();
-  ASSERT_EQ(C.call(allocRequest(Body), RespC), TransportError::None);
+  ASSERT_EQ(C.callWithRetry(allocRequest(Body), RespC, S.port(),
+                            /*MaxAttempts=*/1, /*RetryTransport=*/false,
+                            /*Seed=*/1),
+            TransportError::None);
   auto ShedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
 
   EXPECT_EQ(RespC.Status, ResponseStatus::Rejected) << RespC.Error;
-  EXPECT_EQ(RespC.RetryAfterMs, 35u);
+  EXPECT_EQ(RespC.RetryAfterMs, 1000u);
   EXPECT_NE(RespC.Error.find("queue full"), std::string::npos)
       << RespC.Error;
   // Shedding answers fast — that is its whole point. Generous bound for
@@ -483,109 +605,6 @@ TEST(ServerChaos, EveryServerFaultSiteStaysUpAndAnswersTyped) {
 //===----------------------------------------------------------------------===//
 // HTTP observability plane (same port, sniffed per connection)
 //===----------------------------------------------------------------------===//
-
-/// Raw TCP client for speaking HTTP at the server without any client
-/// library in the way — the tests below exercise exact wire bytes
-/// (pipelining, oversized heads, deliberately ambiguous first bytes).
-struct RawConn {
-  int Fd = -1;
-
-  ~RawConn() { close(); }
-
-  bool connect(std::uint16_t Port) {
-    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (Fd < 0)
-      return false;
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_port = htons(Port);
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-        0) {
-      close();
-      return false;
-    }
-    return true;
-  }
-
-  bool send(const std::string &Bytes) {
-    std::size_t Off = 0;
-    while (Off < Bytes.size()) {
-      ssize_t N = ::send(Fd, Bytes.data() + Off, Bytes.size() - Off, 0);
-      if (N < 0) {
-        if (errno == EINTR)
-          continue;
-        return false;
-      }
-      Off += static_cast<std::size_t>(N);
-    }
-    return true;
-  }
-
-  /// Reads until the peer closes. For Connection: close exchanges.
-  std::string recvUntilClosed() {
-    std::string Out;
-    char Chunk[4096];
-    for (;;) {
-      ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N <= 0)
-        break;
-      Out.append(Chunk, static_cast<std::size_t>(N));
-    }
-    return Out;
-  }
-
-  /// Reads exactly one HTTP response (head + Content-Length body) off a
-  /// keep-alive connection. Empty string on EOF/parse trouble.
-  std::string recvOneResponse() {
-    std::string Buf;
-    char Chunk[4096];
-    std::size_t HeadEnd = std::string::npos;
-    while ((HeadEnd = Buf.find("\r\n\r\n")) == std::string::npos) {
-      ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N <= 0)
-        return std::string();
-      Buf.append(Chunk, static_cast<std::size_t>(N));
-    }
-    const char *Key = "content-length:";
-    std::size_t BodyLen = 0;
-    std::string Lower;
-    Lower.reserve(HeadEnd);
-    for (std::size_t I = 0; I < HeadEnd; ++I)
-      Lower.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(Buf[I]))));
-    std::size_t Pos = Lower.find(Key);
-    if (Pos != std::string::npos)
-      BodyLen = std::strtoul(Buf.c_str() + Pos + std::strlen(Key), nullptr, 10);
-    const std::size_t Want = HeadEnd + 4 + BodyLen;
-    while (Buf.size() < Want) {
-      ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N <= 0)
-        return std::string();
-      Buf.append(Chunk, static_cast<std::size_t>(N));
-    }
-    return Buf.substr(0, Want);
-  }
-
-  void close() {
-    if (Fd >= 0)
-      ::close(Fd);
-    Fd = -1;
-  }
-};
-
-std::string httpGet(const std::string &Path, bool KeepAlive = true) {
-  std::string Req = "GET " + Path + " HTTP/1.1\r\nHost: t\r\n";
-  if (!KeepAlive)
-    Req += "Connection: close\r\n";
-  return Req + "\r\n";
-}
 
 TEST(HttpEndToEnd, EndpointsAnswerOverOneKeepAliveConnection) {
   Server S((ServerOptions()));

@@ -9,7 +9,7 @@
 // with TTL expiry, crash dossiers, the runAllocGuarded exception
 // backstop, EINTR resilience of the frame codec under a signal storm,
 // the client retry policy's wall-clock budget, and the Server end-to-end
-// in --isolate-workers mode with its /metrics and STATUS surfacing.
+// in --isolate-workers mode with its /metrics surfacing.
 //
 // Everything here runs real forks, real SIGABRTs, and real SIGKILLs —
 // the point of the subsystem is that those are containable events, and
@@ -682,13 +682,6 @@ TEST(ServerIsolated, CrashIsContainedTypedAndObservable) {
   }
   EXPECT_EQ(Ok.Status, ResponseStatus::Ok) << Ok.Error;
 
-  // STATUS grows the pool fields only in isolation mode.
-  Request St;
-  St.Type = RequestType::Status;
-  ASSERT_EQ(Conn.call(St, Resp), TransportError::None);
-  EXPECT_NE(Resp.Body.find("\"isolate-workers\": 1"), std::string::npos)
-      << Resp.Body;
-  EXPECT_NE(Resp.Body.find("\"worker-crashes\": "), std::string::npos);
   Conn.close();
 
   // /metrics exposes the live-worker gauge and the worker.* counters.
@@ -714,20 +707,11 @@ TEST(ServerIsolated, CrashIsContainedTypedAndObservable) {
 }
 
 TEST(ServerDefault, InProcessModeHasNoPoolSurface) {
-  // --isolate-workers=0 (the default) must not leak any pool fields into
-  // STATUS or /metrics: byte-identical observability with the seed.
+  // --isolate-workers=0 (the default) must not leak any pool gauges into
+  // /metrics.
   Server S((ServerOptions()));
   std::string Error;
   ASSERT_TRUE(S.start(&Error)) << Error;
-
-  ClientConnection Conn;
-  ASSERT_TRUE(Conn.connect(S.port()));
-  Request St;
-  St.Type = RequestType::Status;
-  Response Resp;
-  ASSERT_EQ(Conn.call(St, Resp), TransportError::None);
-  EXPECT_EQ(Resp.Body.find("isolate-workers"), std::string::npos);
-  Conn.close();
 
   RawConn Http;
   ASSERT_TRUE(Http.connect(S.port()));

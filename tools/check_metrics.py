@@ -42,6 +42,7 @@ REQUIRED_FAMILIES = [
     "pdgc_stat_total",
     "pdgc_request_latency_microseconds",
     "pdgc_server_queue_depth",
+    "pdgc_server_conn_threads",
     "pdgc_server_draining",
     "pdgc_server_uptime_seconds",
     "pdgc_flight_recorded_total",
